@@ -10,7 +10,8 @@ Steps mirror Fig. 3 / Algorithms 2-3:
 3. run semantic-aware generation (Alg. 3) for a *different* packet type
    (WRITE MULTIPLE REGISTERS), showing donor values crossing between
    data models — "a valuable seed with one value of the opcode can be
-   used to optimize seed generation for other values of the opcode";
+   used to optimize seed generation for other values of the opcode"
+   (CONSTRUCT plans the donor splices; each plan is then built);
 4. verify File Fixup re-established the MBAP length relation on every
    spliced packet.
 
@@ -52,9 +53,10 @@ def main() -> None:
     # 3. semantic-aware generation (paper Alg. 3) for the write model
     generator = SemanticGenerator(corpus, random.Random(1), pin_prob=1.0,
                                   batch_limit=4)
-    batch = generator.construct(write_model)
-    print(f"\nsemantic generation produced {len(batch)} spliced packets "
-          "for modbus.write_multiple_registers:")
+    plans = generator.construct(write_model)
+    batch = [generator.build(write_model, plan) for plan in plans]
+    print(f"\nsemantic generation planned and built {len(batch)} spliced "
+          "packets for modbus.write_multiple_registers:")
     for spliced_tree, wire in batch:
         quantity = spliced_tree.find("quantity").value
         address = spliced_tree.find("address").value

@@ -9,21 +9,39 @@ must bound that, so the recursion is capped at ``batch_limit`` seeds per
 invocation with rng-shuffled donor order (the enumeration *prefix* under
 a random order is an unbiased sample of the product).
 
-Integrity is restored afterwards by the File Fixup pass, which in this
-implementation is DataModel.build's relation/fixup resolution — spliced
-donor values for relation or fixup carriers are never used.
+CONSTRUCT is split into planning and building.  :meth:`construct`
+picks donors and walks the product, returning *plans* — the donor
+assignment of each seed plus one integer build seed — and
+:meth:`SemanticGenerator.build` turns a plan into a packet only when the
+engine is about to run it.  Most planned seeds never run (session mode
+uses only the first, and the pending queue is trimmed), and building is
+most of the production layer's work.
+
+Integrity is restored at build time by the File Fixup pass, which in
+this implementation is DataModel.build's relation/fixup resolution —
+spliced donor values for relation or fixup carriers are never used.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.corpus import PuzzleCorpus
 from repro.model.datamodel import DataModel, ValueProvider
 from repro.model.fields import Blob, Choice, Field, Number, Repeat, Str
 from repro.model.instree import InsTree
 from repro.model.mutators import GenerationPolicy, MutatorProvider
+
+
+class SplicePlan(NamedTuple):
+    """One planned seed: what to splice, and how to fill the rest."""
+
+    #: dotted leaf path -> donor value pinned at that leaf
+    assignments: Dict[str, object]
+    #: seeds the inherent-rule RNG for every unpinned decision, so a
+    #: plan builds the same packet whenever (and however often) it runs
+    seed: int
 
 
 class _SpliceProvider(ValueProvider):
@@ -142,27 +160,28 @@ class SemanticGenerator:
 
     # ------------------------------------------------------------------
 
-    def construct(self, model: DataModel) -> List[Tuple[InsTree, bytes]]:
-        """Generate a batch of spliced seeds for *model*.
+    def construct(self, model: DataModel) -> List[SplicePlan]:
+        """Plan a batch of spliced seeds for *model*.
 
         Returns ``[]`` when no position has donors (the caller then uses
-        the inherent strategy unchanged).
+        the inherent strategy unchanged).  Takes one draw from the
+        shared RNG for the whole batch; plan *i* builds with seed
+        ``base + i``.
         """
         positions = self._donor_positions(model)
         if not positions:
             return []
-        batch: List[Tuple[InsTree, bytes]] = []
+        base = self.rng.getrandbits(64)
+        plans: List[SplicePlan] = []
         assignments: Dict[str, object] = {}
 
         def recurse(index: int) -> bool:
             """DFS over donor choices; False aborts (batch full)."""
-            if len(batch) >= self.batch_limit:
+            if len(plans) >= self.batch_limit:
                 return False
             if index == len(positions):
-                fallback = MutatorProvider(self.rng, self.policy)
-                provider = _SpliceProvider(dict(assignments), fallback)
-                tree = model.build(provider)
-                batch.append((tree, model.to_wire(tree)))
+                plans.append(SplicePlan(dict(assignments),
+                                        base + len(plans)))
                 return True
             path, field, donors = positions[index]
             for donor in donors:
@@ -176,8 +195,21 @@ class SemanticGenerator:
             return True
 
         recurse(0)
-        self.seeds_generated += len(batch)
-        return batch
+        self.seeds_generated += len(plans)
+        return plans
+
+    def build(self, model: DataModel,
+              plan: SplicePlan) -> Tuple[InsTree, bytes]:
+        """Build *plan* into ``(tree, wire)``; File Fixup runs here."""
+        fallback = MutatorProvider(random.Random(plan.seed), self.policy)
+        tree = model.build(_SpliceProvider(plan.assignments, fallback))
+        return tree, model.to_wire(tree)
+
+
+def leaf_paths(model: DataModel) -> frozenset:
+    """Every path :meth:`SemanticGenerator.construct` may pin in *model*."""
+    return frozenset(_find_path(model.root, field, "")
+                     for field in model.linear())
 
 
 def _find_path(field: Field, target: Field, prefix: str) -> Optional[str]:

@@ -6,7 +6,9 @@ three collectors are provided:
 
 * :class:`TracingCollector` — zero-modification instrumentation via
   ``sys.settrace``: every executed line of the target's modules becomes a
-  basic block whose id is a stable hash of ``(filename, lineno)``.  This
+  basic block whose id is a stable hash of ``(filename, lineno)``, with
+  package files named relative to the package root (:func:`line_block_id`),
+  so ids do not depend on where the checkout lives.  This
   matches the LLVM pass's granularity closely (one block per branch arm).
 * :class:`MonitoringCollector` — the same line granularity via
   ``sys.monitoring`` (PEP 669, CPython 3.12+), which dispatches from the
@@ -55,6 +57,29 @@ from repro.runtime.coverage import CoverageMap
 from repro.util import fnv1a32
 
 _MONITORING = getattr(sys, "monitoring", None)
+
+#: the directory that holds the ``repro`` package, with a trailing
+#: separator
+_PACKAGE_PARENT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "")
+
+
+def _block_file(filename: str) -> str:
+    """*filename* as block ids name it: ``repro/protocols/...`` for a
+    file of this package, the filename unchanged for anything else."""
+    path = os.path.abspath(filename)
+    if path.startswith(_PACKAGE_PARENT):
+        return path[len(_PACKAGE_PARENT):].replace(os.sep, "/")
+    return filename
+
+
+def line_block_id(filename: str, lineno: int) -> int:
+    """The stable id of the basic block at *filename*:*lineno*.
+
+    Hashes the package-relative path, so the same campaign run from two
+    checkouts records the same coverage and crash buckets.
+    """
+    return fnv1a32(f"{_block_file(filename)}:{lineno}")
 
 
 def monitoring_available() -> bool:
@@ -130,7 +155,7 @@ def capture_crash_context(collector: Optional["Collector"],
         while tb is not None:
             filename = tb.tb_frame.f_code.co_filename
             if matches(filename):
-                sites.append(fnv1a32(f"{filename}:{tb.tb_lineno}"))
+                sites.append(line_block_id(filename, tb.tb_lineno))
             tb = tb.tb_next
         if sites:
             return tuple(sites[-depth:])
@@ -232,9 +257,10 @@ class _LineCollector(Collector):
 
     # NOTE: both backends inline the block-id lookup in their per-line
     # callback instead of sharing a helper — a method call per traced
-    # line is exactly the overhead this layer exists to avoid.  The id
-    # scheme is pinned cross-backend by fnv1a32(f"{filename}:{lineno}")
-    # and the backend-equivalence test in tests/runtime/test_backends.py.
+    # line is exactly the overhead this layer exists to avoid (only a
+    # cache miss calls line_block_id).  The id scheme is pinned
+    # cross-backend by the backend-equivalence test in
+    # tests/runtime/test_backends.py.
 
     def begin_execution(self) -> None:
         super().begin_execution()
@@ -290,7 +316,7 @@ class TracingCollector(_LineCollector):
         lineno = frame.f_lineno
         block_id = line_ids.get(lineno)
         if block_id is None:
-            block_id = fnv1a32(f"{code.co_filename}:{lineno}")
+            block_id = line_block_id(code.co_filename, lineno)
             line_ids[lineno] = block_id
         self._visit(block_id)
         self.blocks_executed += 1
@@ -411,7 +437,7 @@ class MonitoringCollector(_LineCollector):
             self._code_line_ids[code] = line_ids = {}
         block_id = line_ids.get(lineno)
         if block_id is None:
-            block_id = fnv1a32(f"{code.co_filename}:{lineno}")
+            block_id = line_block_id(code.co_filename, lineno)
             line_ids[lineno] = block_id
         self._visit(block_id)
         self.blocks_executed += 1

@@ -41,15 +41,14 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.model.datamodel import ValueProvider
-from repro.model.fields import Choice, Repeat
-from repro.model.instree import InsNode
+from repro.model import ModelError
 from repro.runtime.coverage import BUCKET_LUT
 from repro.sanitizer.report import CrashReport
 from repro.util import fs_slug
 
-#: bump when the on-disk layout changes incompatibly
-STATE_FORMAT = 1
+#: bump when the on-disk layout changes incompatibly (2: pending queue
+#: as splice plans; coverage block ids hash package-relative paths)
+STATE_FORMAT = 2
 
 
 class WorkspaceError(RuntimeError):
@@ -88,13 +87,12 @@ def _rng_state_from_json(blob) -> tuple:
     return (version, tuple(internal), gauss)
 
 
-# -- InsTree (de)serialization for the pending semantic queue ---------------
+# -- pending semantic queue ---------------------------------------------------
 #
-# Pending entries are always *built* trees (semantic-generation output),
-# so they are exactly reproducible from the build decisions: leaf values
-# plus Choice/Repeat shapes, replayed through ``DataModel.build``.  This
-# keeps state.json pure JSON — no pickle, so resuming a workspace from an
-# untrusted source cannot execute code.
+# Pending entries are splice plans: donor leaf values plus the build seed
+# that fills every other decision, so an entry is a few hundred bytes of
+# pure JSON — no pickle, so resuming a workspace from an untrusted source
+# cannot execute code.
 
 def _value_to_json(value):
     if isinstance(value, bytes):
@@ -108,79 +106,38 @@ def _value_from_json(blob):
     return blob
 
 
-def _tree_decisions(node: InsNode, prefix: str, leaves: dict,
-                    choices: dict, repeats: dict) -> None:
-    """Record build decisions, mirroring ``DataModel._build_node`` paths."""
-    path = f"{prefix}.{node.name}" if prefix else node.name
-    field = node.field
-    if node.is_leaf:
-        leaves[path] = _value_to_json(node.value)
-    elif isinstance(field, Choice):
-        chosen = node.children[0].field
-        for index, option in enumerate(field.children()):
-            if option is chosen:
-                choices[path] = index
-                break
-        _tree_decisions(node.children[0], path, leaves, choices, repeats)
-    elif isinstance(field, Repeat):
-        repeats[path] = len(node.children)
-        for index, child in enumerate(node.children):
-            _tree_decisions(child, f"{path}[{index}]", leaves, choices,
-                            repeats)
-    else:
-        for child in node.children:
-            _tree_decisions(child, path, leaves, choices, repeats)
-
-
-class _DecisionProvider(ValueProvider):
-    """Replays recorded build decisions through ``DataModel.build``."""
-
-    def __init__(self, blob: dict):
-        self._leaves = blob["leaves"]
-        self._choices = blob["choices"]
-        self._repeats = blob["repeats"]
-
-    def leaf_value(self, field, path):
-        value = self._leaves.get(path)
-        return _value_from_json(value) if value is not None else None
-
-    def choose_option(self, choice, path):
-        return self._choices.get(path, 0)
-
-    def repeat_count(self, repeat, path):
-        count = self._repeats.get(path)
-        return count if count is not None else max(repeat.min_count, 1)
-
-
 def _pending_to_json(pending) -> list:
-    entries = []
-    for tree, packet, model_name in pending:
-        leaves: dict = {}
-        choices: dict = {}
-        repeats: dict = {}
-        _tree_decisions(tree.root, "", leaves, choices, repeats)
-        entries.append({
-            "model": model_name,
-            "packet": packet.hex(),
-            "leaves": leaves,
-            "choices": choices,
-            "repeats": repeats,
-        })
-    return entries
+    return [{"model": model_name, "seed": plan.seed,
+             "assignments": {path: _value_to_json(value)
+                             for path, value in plan.assignments.items()}}
+            for plan, model_name in pending]
 
 
 def _pending_from_json(entries: list, pit) -> list:
+    """Decode pending plans, checking each against *pit* without building.
+
+    state.json is outside input: a plan naming a model or a leaf the pit
+    does not have fails here, not when the plan is popped mid-campaign.
+    """
+    from repro.core.semantic import SplicePlan, leaf_paths  # late: layering
+    known: Dict[str, frozenset] = {}
     pending = []
     for blob in entries:
-        model = pit.model(blob["model"])
-        tree = model.build(_DecisionProvider(blob))
-        packet = model.to_wire(tree)
-        if packet != bytes.fromhex(blob["packet"]):
+        name = blob["model"]
+        if name not in known:
+            try:
+                known[name] = leaf_paths(pit.model(name))
+            except ModelError as exc:
+                raise WorkspaceError(f"pending plan: {exc}") from exc
+        unknown = sorted(set(blob["assignments"]) - known[name])
+        if unknown:
             raise WorkspaceError(
-                f"pending packet for model {blob['model']!r} did not "
-                "rebuild bit-identically; workspace is corrupt or from "
-                "an incompatible version")
-        pending.append((tree, packet, blob["model"]))
+                f"pending plan for model {name!r} pins unknown leaves "
+                f"{unknown}; workspace is corrupt or from an incompatible "
+                "version")
+        assignments = {path: _value_from_json(value)
+                       for path, value in blob["assignments"].items()}
+        pending.append((SplicePlan(assignments, int(blob["seed"])), name))
     return pending
 
 

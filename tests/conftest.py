@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's Fig. 1 data model and seeded RNGs."""
+"""Shared fixtures: the paper's Fig. 1 data model, seeded RNGs and a
+build counter."""
 
 from __future__ import annotations
 
@@ -34,3 +35,18 @@ def fig1_model():
         data,
         attach_fixup(Number("CRC", 4), Crc32Fixup(["ID", "Size", "Data"])),
     ]))
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """The model name of every ``DataModel.build`` call made while the
+    test runs, in call order."""
+    calls = []
+    original = DataModel.build
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DataModel, "build", counted)
+    return calls

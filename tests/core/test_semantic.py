@@ -2,8 +2,12 @@
 
 import random
 
-from repro.core import PuzzleCorpus, SemanticGenerator
+from repro.core import (
+    CampaignConfig, PuzzleCorpus, SemanticGenerator, run_campaign,
+)
+from repro.core.campaign import make_engine
 from repro.model import Blob, Block, DataModel, Number, size_of
+from repro.protocols import get_target
 
 
 def _model():
@@ -14,6 +18,12 @@ def _model():
         size_of(Number("size", 1), "payload"),
         Blob("payload", default=b"\x00", semantic="payload"),
     ]))
+
+
+def _built(generator, model):
+    """CONSTRUCT's plans for *model*, each built to ``(tree, wire)``."""
+    return [generator.build(model, plan)
+            for plan in generator.construct(model)]
 
 
 def _corpus_with(rng=None, **donors):
@@ -35,7 +45,7 @@ class TestConstruct:
         corpus = _corpus_with(address=[b"\x01\x10"])
         generator = SemanticGenerator(corpus, random.Random(1),
                                       pin_prob=1.0)
-        batch = generator.construct(_model())
+        batch = _built(generator, _model())
         assert batch
         for tree, _wire in batch:
             assert tree.find("address").value == 0x0110
@@ -47,7 +57,7 @@ class TestConstruct:
                                         b"\x00\x05"])
         generator = SemanticGenerator(corpus, random.Random(1),
                                       pin_prob=1.0, batch_limit=100)
-        batch = generator.construct(_model())
+        batch = _built(generator, _model())
         combos = {(t.find("address").value, t.find("quantity").value)
                   for t, _w in batch}
         assert len(batch) == 6
@@ -60,8 +70,9 @@ class TestConstruct:
         generator = SemanticGenerator(corpus, random.Random(1),
                                       pin_prob=1.0, batch_limit=10,
                                       max_donors_per_position=6)
-        batch = generator.construct(_model())
-        assert len(batch) == 10
+        plans = generator.construct(_model())
+        assert len(plans) == 10
+        assert len({plan.seed for plan in plans}) == 10
 
     def test_relations_repaired_after_splice(self):
         """File Fixup: the size field is recomputed, never donor-filled."""
@@ -69,7 +80,7 @@ class TestConstruct:
         generator = SemanticGenerator(corpus, random.Random(1),
                                       pin_prob=1.0)
         model = _model()
-        for tree, wire in generator.construct(model):
+        for _tree, wire in _built(generator, model):
             parsed = model.parse(wire)
             assert parsed.find("size").value == \
                 len(parsed.find("payload").raw)
@@ -82,7 +93,7 @@ class TestConstruct:
         corpus.add(opcode.signature(), b"\x63")
         generator = SemanticGenerator(corpus, random.Random(1),
                                       pin_prob=1.0)
-        for tree, _wire in generator.construct(model):
+        for tree, _wire in _built(generator, model):
             assert tree.find("opcode").value == 7
 
     def test_generated_packets_parse_under_model(self):
@@ -92,7 +103,7 @@ class TestConstruct:
         generator = SemanticGenerator(corpus, random.Random(1),
                                       pin_prob=1.0, batch_limit=32)
         model = _model()
-        batch = generator.construct(model)
+        batch = _built(generator, model)
         assert batch
         for _tree, wire in batch:
             assert model.matches(wire)
@@ -107,8 +118,8 @@ class TestConstruct:
         corpus = _corpus_with(address=[b"\x00\x01"])
         generator = SemanticGenerator(corpus, random.Random(1),
                                       pin_prob=1.0)
-        batch = generator.construct(_model())
-        assert generator.seeds_generated == len(batch)
+        plans = generator.construct(_model())
+        assert generator.seeds_generated == len(plans)
 
     def test_deterministic_under_seed(self):
         def run():
@@ -116,6 +127,68 @@ class TestConstruct:
                                   address=[b"\x00\x01", b"\x00\x02"])
             generator = SemanticGenerator(corpus, random.Random(4),
                                           pin_prob=1.0)
-            return [wire for _t, wire in generator.construct(_model())]
+            return [wire for _t, wire in _built(generator, _model())]
 
         assert run() == run()
+
+
+class TestBuild:
+    def test_building_a_plan_twice_is_identical(self):
+        corpus = _corpus_with(address=[b"\x00\x01", b"\x00\x02"],
+                              payload=[b"\x05\x06"])
+        generator = SemanticGenerator(corpus, random.Random(3),
+                                      pin_prob=1.0)
+        model = _model()
+        for plan in generator.construct(model):
+            (tree_a, wire_a), (tree_b, wire_b) = \
+                generator.build(model, plan), generator.build(model, plan)
+            assert wire_a == wire_b
+            assert tree_a.pretty() == tree_b.pretty()
+
+    def test_build_draws_nothing_from_the_shared_rng(self):
+        rng = random.Random(5)
+        generator = SemanticGenerator(
+            _corpus_with(address=[b"\x00\x01"]), rng, pin_prob=1.0)
+        model = _model()
+        plans = generator.construct(model)
+        state = rng.getstate()
+        generator.build(model, plans[0])
+        assert rng.getstate() == state
+
+    def test_construct_takes_one_draw_per_batch(self):
+        """With every position pinned, planning a whole batch consumes
+        exactly the one base-seed draw."""
+        rng = random.Random(5)
+        twin = random.Random(5)
+        generator = SemanticGenerator(
+            _corpus_with(address=[b"\x00\x01", b"\x00\x02"]), rng,
+            pin_prob=1.0)
+        plans = generator.construct(_model())
+        base = twin.getrandbits(64)
+        assert [plan.seed for plan in plans] == [base, base + 1]
+        assert rng.getstate() == twin.getstate()
+
+
+class TestBuildCounts:
+    """Packets are built only when they run — counted, not timed."""
+
+    def test_campaign_builds_once_per_execution(self, build_calls):
+        result = run_campaign("peach-star", get_target("libmodbus"), seed=4,
+                              config=CampaignConfig(max_executions=400))
+        assert result.stats["semantic_executions"] > 0
+        assert len(build_calls) == result.executions
+
+    def test_session_step_builds_once(self, build_calls):
+        engine = make_engine("peach-star", get_target("iec104"), seed=2,
+                             config=CampaignConfig(sessions=True))
+        for _ in range(40):
+            engine.iterate()
+        assert not engine.corpus.is_empty
+        engine.semantic_ratio = 1.0
+        semantic = 0
+        for model in engine.pit:
+            del build_calls[:]
+            _tree, _packet, spliced = engine._produce_step(model)
+            assert build_calls == [model.name]
+            semantic += spliced
+        assert semantic > 0

@@ -76,8 +76,11 @@ class TestCrackGenerateLoop:
         assert semantic_seen > 0
         # spliced packets must parse under their own model (fixup worked)
         pit = engine.pit
-        for tree, wire, model_name in list(engine._pending)[:10]:
-            assert pit.model(model_name).matches(wire)
+        assert engine._pending
+        for plan, model_name in list(engine._pending)[:10]:
+            model = pit.model(model_name)
+            _tree, wire = engine.generator.build(model, plan)
+            assert model.matches(wire)
 
     def test_cracker_harvests_cross_model_puzzles(self):
         """A valid read request cracks under both its own model and the

@@ -1,12 +1,37 @@
 """Unit tests for the instrumentation collectors."""
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.runtime.instrument import (
-    ExplicitCollector, HangBudgetExceeded, TracingCollector,
+    ExplicitCollector, HangBudgetExceeded, TracingCollector, line_block_id,
 )
 from repro.protocols.modbus import ModbusServer, build_read_request
 from repro.sanitizer import SimHeap
+from repro.util import fnv1a32
+
+#: the ``src`` directory this test imported ``repro`` from
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+_CAMPAIGN = """
+import json
+from repro import CampaignConfig, get_target, run_campaign
+result = run_campaign("peach-star", get_target("lib60870"), seed=7,
+                      config=CampaignConfig(max_executions=500))
+print(json.dumps({
+    "file": __import__("repro").__file__,
+    "edges": result.final_edges,
+    "path_hashes": result.path_hashes,
+    "buckets": sorted(list(crash.bucket_key)
+                      for crash in result.unique_crashes),
+}))
+"""
 
 
 class TestExplicitCollector:
@@ -93,3 +118,35 @@ class TestTracingCollector:
         collector = TracingCollector(module_prefixes=("repro/protocols",))
         self._run_modbus(collector, build_read_request(3, 0, 1))
         assert sys.gettrace() is before
+
+
+class TestBlockIds:
+    def test_package_files_hash_their_package_relative_path(self):
+        server = os.path.join(SRC, "repro", "protocols", "modbus",
+                              "server.py")
+        assert line_block_id(server, 12) == \
+            fnv1a32("repro/protocols/modbus/server.py:12")
+
+    def test_other_files_hash_their_filename(self):
+        assert line_block_id("/elsewhere/mod.py", 3) == \
+            fnv1a32("/elsewhere/mod.py:3")
+
+    def test_campaign_does_not_depend_on_the_checkout(self, tmp_path):
+        """One seeded campaign run from two copies of ``src/`` at
+        different paths: same edges, path hashes and crash buckets."""
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_") and key != "PYTHONPATH"}
+        outcomes = []
+        for copy in ("a", "b/deeper"):
+            src = str(tmp_path / copy / "src")
+            shutil.copytree(SRC, src, ignore=shutil.ignore_patterns(
+                "__pycache__", "*.egg-info"))
+            done = subprocess.run(
+                [sys.executable, "-c", _CAMPAIGN], capture_output=True,
+                text=True, env=dict(env, PYTHONPATH=src), timeout=300)
+            assert done.returncode == 0, done.stderr
+            outcome = json.loads(done.stdout.splitlines()[-1])
+            assert outcome.pop("file").startswith(src)
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0]["buckets"]

@@ -85,6 +85,20 @@ class TestFleetLayout:
         with pytest.raises(WorkspaceError):
             resume_fleet(str(tmp_path / "nope"))
 
+    def test_format_1_fleet_is_rejected(self, tmp_path):
+        ws_dir = str(tmp_path / "fleet")
+        _run(ws_dir, config=_config(max_executions=60))
+        path = os.path.join(ws_dir, "fleet.json")
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["format"] = 1
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(WorkspaceError,
+                           match=r"fleet format 1 is not supported "
+                                 r"\(expected 2\)"):
+            resume_fleet(ws_dir)
+
     def test_shards_are_independently_seeded(self, tmp_path):
         fleet = _run(str(tmp_path / "fleet"))
         seeds = [result.seed for result in fleet.shard_results]

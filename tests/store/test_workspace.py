@@ -13,8 +13,8 @@ import os
 import pytest
 
 from repro.core import (
-    CampaignConfig, config_from_dict, config_to_dict, resume_campaign,
-    run_campaign,
+    CampaignConfig, config_from_dict, config_to_dict, make_engine,
+    resume_campaign, run_campaign,
 )
 from repro.protocols import get_target
 from repro.store import CampaignWorkspace, WorkspaceError
@@ -151,6 +151,65 @@ class TestKillAndResumeDeterminism:
         assert resume_campaign(ws_dir, stop_after_executions=260) is None
         resumed = resume_campaign(ws_dir)
         assert _signature(resumed) == _signature(full)
+
+
+class TestPendingQueueCheckpoint:
+    """The pending semantic queue persists as plans (format 2)."""
+
+    def _killed(self, tmp_path):
+        ws_dir = str(tmp_path / "ws")
+        assert run_campaign("peach-star", get_target("libiec61850"), seed=7,
+                            config=_config(workspace=ws_dir),
+                            stop_after_executions=300) is None
+        return ws_dir
+
+    def test_restore_builds_nothing(self, tmp_path, build_calls):
+        ws_dir = self._killed(tmp_path)
+        workspace = CampaignWorkspace(ws_dir)
+        pending = workspace.load_state()["pending"]
+        assert pending
+        assert set(pending[0]) == {"model", "seed", "assignments"}
+        manifest = workspace.load_manifest()
+        engine = make_engine(manifest["engine"], get_target("libiec61850"),
+                             manifest["seed"],
+                             config_from_dict(manifest["config"]))
+        del build_calls[:]
+        workspace.restore(engine)
+        assert build_calls == []
+        assert len(engine._pending) == len(pending)
+
+    @pytest.mark.parametrize("files", [("config.json", "state.json"),
+                                       ("state.json",)])
+    def test_format_1_workspace_is_rejected(self, tmp_path, files):
+        ws_dir = self._killed(tmp_path)
+        for name in files:
+            path = os.path.join(ws_dir, name)
+            with open(path, encoding="utf-8") as handle:
+                blob = json.load(handle)
+            blob["format"] = 1
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(blob, handle)
+        with pytest.raises(WorkspaceError,
+                           match=r"format 1 is not supported \(expected 2\)"):
+            resume_campaign(ws_dir)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry: entry.update(model="NoSuchModel"),
+         r"no model 'NoSuchModel'"),
+        (lambda entry: entry["assignments"].update({"no.such.leaf": 0}),
+         r"pins unknown leaves \['no\.such\.leaf'\]"),
+    ], ids=["unknown-model", "unknown-leaf"])
+    def test_foreign_pending_plan_fails_at_resume(self, tmp_path, edit,
+                                                  message):
+        ws_dir = self._killed(tmp_path)
+        path = os.path.join(ws_dir, "state.json")
+        with open(path, encoding="utf-8") as handle:
+            state = json.load(handle)
+        edit(state["pending"][-1])
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(state, handle)
+        with pytest.raises(WorkspaceError, match=message):
+            resume_campaign(ws_dir)
 
 
 class TestAtomicWriteDurability:

@@ -8,8 +8,8 @@
 #                      BENCH_*.json)
 #   make test-matrix — the cross-protocol conformance matrix plus the
 #                      channel-fault/differential-oracle, live-network
-#                      (socket/serve), coverage-impl parity and
-#                      batched-execution identity suites
+#                      (socket/serve), block-probe parity, coverage-impl
+#                      parity and batched-execution identity suites
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough
@@ -35,8 +35,9 @@ bench:
 
 test-matrix:
 	$(PY) -m pytest tests/protocols/test_conformance.py tests/channel \
-		tests/net tests/runtime/test_vector_parity.py \
-		tests/core/test_batching.py $(PYTEST_ARGS)
+		tests/net tests/runtime/test_probes.py \
+		tests/runtime/test_vector_parity.py tests/core/test_batching.py \
+		$(PYTEST_ARGS)
 
 fleet-demo:
 	rm -rf $(FLEET_DEMO_DIR)

@@ -49,10 +49,6 @@ def _add_budget_args(parser: argparse.ArgumentParser) -> None:
                         help="hard execution bound")
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign RNG seed")
-    parser.add_argument("--backend", default="auto",
-                        choices=("auto", "monitoring", "settrace"),
-                        help="line-coverage backend (auto: sys.monitoring "
-                             "on CPython 3.12+, else sys.settrace)")
     parser.add_argument("--coverage-impl", default="auto",
                         choices=("auto", "sparse", "vector"),
                         dest="coverage_impl",
@@ -155,7 +151,6 @@ def _net_config(args):
 def _config(args) -> CampaignConfig:
     return CampaignConfig(budget_hours=args.hours,
                           max_executions=args.max_execs,
-                          coverage_backend=args.backend,
                           coverage_impl=getattr(args, "coverage_impl",
                                                 "auto"),
                           batch_size=getattr(args, "batch_size", 16),
@@ -282,7 +277,6 @@ def cmd_resume(args) -> int:
 
 
 def cmd_triage(args) -> int:
-    backend = args.backend
     try:
         if args.workspace:
             workspace = CampaignWorkspace(args.workspace)
@@ -292,8 +286,6 @@ def cmd_triage(args) -> int:
                 print(f"error: workspace belongs to {spec.name!r}, "
                       f"not {args.target!r}", file=sys.stderr)
                 return 2
-            if backend == "auto":
-                backend = manifest["config"].get("coverage_backend", "auto")
             crashes = (workspace.load_crash_reports()
                        + workspace.load_divergence_reports())
             out_dir = args.out or workspace.repro_dir
@@ -316,7 +308,7 @@ def cmd_triage(args) -> int:
     report = triage_reports(
         spec, crashes, minimize=not args.no_minimize,
         max_executions_per_crash=args.max_triage_execs, out_dir=out_dir,
-        coverage_backend=backend, jobs=args.jobs,
+        jobs=args.jobs,
         net_url=getattr(args, "net_url", None))
     print(render_triage_table(report))
     if args.verbose:

@@ -24,7 +24,7 @@ from repro.runtime.clock import SimulatedClock
 from repro.runtime.coverage import (
     make_coverage_map, make_global_coverage, resolve_coverage_impl,
 )
-from repro.runtime.instrument import make_line_collector
+from repro.runtime.instrument import make_line_collector, resolve_backend
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashReport
 from repro.store.workspace import CampaignWorkspace
@@ -132,8 +132,6 @@ class CampaignConfig:
     #: a NetConfig rides into the workspace manifest so a killed socket
     #: campaign resumes with the transport it started with
     net: Optional[NetConfig] = None
-    #: line-coverage backend: "auto" | "monitoring" | "settrace"
-    coverage_backend: str = "auto"
     #: coverage-map implementation: "auto" | "sparse" | "vector"
     #: (``REPRO_COVERAGE_IMPL`` overrides "auto"; both are parity-pinned
     #: bit-for-bit, "vector" needs numpy)
@@ -157,7 +155,13 @@ def config_to_dict(config: CampaignConfig) -> dict:
 
 
 def config_from_dict(blob: dict) -> CampaignConfig:
-    """Inverse of :func:`config_to_dict` (tolerates added fields)."""
+    """Inverse of :func:`config_to_dict` (tolerates added fields).
+
+    A config that still names a coverage backend other than ``auto``
+    (the option is gone) raises ``ValueError``: it was recorded under
+    another collector.
+    """
+    resolve_backend(blob.get("coverage_backend", "auto"))
     known = {f.name for f in CampaignConfig.__dataclass_fields__.values()}
     kwargs = {key: value for key, value in blob.items() if key in known}
     if kwargs.get("policy") is not None:
@@ -237,8 +241,7 @@ def make_engine(engine_name: str, target_spec, seed: int,
     collector = make_line_collector(
         ("repro/protocols",),
         coverage_map=make_coverage_map(coverage_impl),
-        hang_budget=config.hang_budget,
-        backend=config.coverage_backend)
+        hang_budget=config.hang_budget)
     channel = None
     if config.channel_faults > 0.0:
         # the extra seed draw happens only on faulted campaigns, so

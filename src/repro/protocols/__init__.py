@@ -17,10 +17,15 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
+from repro.runtime import probes
 from repro.runtime.clock import CostModel
 from repro.runtime.target import ProtocolServer
 
-from repro.protocols import (  # noqa: F401  (re-exported subpackages)
+# every submodule is compiled with block probes (repro.runtime.probes),
+# so the finder goes in before the first of them is imported
+probes.install()
+
+from repro.protocols import (  # noqa: E402,F401  (re-exported subpackages)
     dnp3, iccp, iec104, iec61850, lib60870, modbus,
 )
 

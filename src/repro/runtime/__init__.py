@@ -6,16 +6,16 @@ from repro.runtime.coverage import (
 )
 from repro.runtime.instrument import (
     CRASH_CONTEXT_DEPTH, Collector, ExplicitCollector, HangBudgetExceeded,
-    MonitoringCollector, TracingCollector, capture_crash_context,
-    make_line_collector, monitoring_available, resolve_backend,
+    ProbeCollector, TracingCollector, capture_crash_context,
+    make_line_collector, resolve_backend,
 )
 from repro.runtime.target import ExecResult, ProtocolServer, Target
 
 __all__ = [
     "BUCKET_LUT", "CRASH_CONTEXT_DEPTH", "Collector", "CostModel",
     "CoverageMap", "ExecResult", "ExplicitCollector", "GlobalCoverage",
-    "HangBudgetExceeded", "MAP_SIZE", "MonitoringCollector",
+    "HangBudgetExceeded", "MAP_SIZE", "ProbeCollector",
     "ProtocolServer", "SimulatedClock", "Target", "TracingCollector",
     "bucket_count", "capture_crash_context", "make_line_collector",
-    "monitoring_available", "resolve_backend",
+    "resolve_backend",
 ]

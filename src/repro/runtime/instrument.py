@@ -1,27 +1,32 @@
 """Instrumentation collectors: how basic-block ids reach the coverage map.
 
-The paper compiles targets with ``Peach*-clang`` (an LLVM pass inserting
-the edge-count snippet at branch points).  Our targets are Python, so
-three collectors are provided:
+The paper compiles targets with ``Peach*-clang``, an LLVM pass that
+inserts the edge-count snippet at every basic block.  Our targets are
+Python, so the collectors are:
 
-* :class:`TracingCollector` — zero-modification instrumentation via
-  ``sys.settrace``: every executed line of the target's modules becomes a
-  basic block whose id is a stable hash of ``(filename, lineno)``, with
-  package files named relative to the package root (:func:`line_block_id`),
-  so ids do not depend on where the checkout lives.  This
-  matches the LLVM pass's granularity closely (one block per branch arm).
-* :class:`MonitoringCollector` — the same line granularity via
-  ``sys.monitoring`` (PEP 669, CPython 3.12+), which dispatches from the
-  interpreter loop without per-frame trace-function plumbing and lets us
-  permanently DISABLE out-of-scope code locations instead of re-filtering
-  them on every event.
+* :class:`ProbeCollector` — the paper's design, and what campaigns
+  use: the protocol modules are compiled with a probe call before every
+  statement, on every loop back-edge and on every comprehension
+  iteration (:mod:`repro.runtime.probes`).  The collector binds the
+  probes to its hit function for the length of a collection window, and
+  to a no-op outside it, so codec code that runs during generation or
+  cracking records nothing.
+* :class:`TracingCollector` — the reference, via ``sys.settrace``: every
+  executed line of the target's modules is a basic block.  It also
+  counts the continuation lines of multi-line statements, which the
+  probes do not, so the two give different hit counts and paths.  It
+  traces any scope, not only the probed modules.
 * :class:`ExplicitCollector` — targets call :meth:`ExplicitCollector.hit`
-  with a label at interesting points; useful for speed-critical loops and
-  for unit-testing the coverage plumbing.
+  with a label at interesting points; for unit-testing the coverage
+  plumbing.
 
-:func:`make_line_collector` picks the fastest available line backend
-(``sys.monitoring`` when the interpreter has it, else ``sys.settrace``);
-``REPRO_COVERAGE_BACKEND=settrace|monitoring`` forces a choice.
+Block ids are :func:`line_block_id`, a stable hash of the
+package-relative file name and line, so probes and settrace name a
+statement the same way and ids do not depend on where the checkout
+lives.  :func:`make_line_collector` picks the collector from the scope
+alone: probes for the probed ``repro/protocols`` scope, settrace for
+any other.  There is no user setting; tests build the settrace
+reference directly.
 
 The module also provides :func:`capture_crash_context`: the in-scope
 call-site sequence at fault time, used by the triage subsystem to
@@ -38,12 +43,9 @@ Collectors separate the per-execution map reset
 harness can rebind ``Collector.map`` (the batched pipeline rotates a
 map pool through one collector) or re-arm without paying the other
 half.  ``begin()``/``end()`` compose both, preserving the one-execution
-context-manager contract.
+context-manager contract.  Windows do not nest.
 
-Both line collectors key their block-id cache by *code object* and then
-by line number, so the hot callback does two dict probes on interned
-objects instead of allocating a ``(filename, lineno)`` tuple per traced
-line.  All feed the same :class:`~repro.runtime.coverage.CoverageMap`
+All collectors feed the same :class:`~repro.runtime.coverage.CoverageMap`
 and count executed blocks so the harness can flag hangs (runaway loops).
 """
 
@@ -51,72 +53,41 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.runtime import probes
 from repro.runtime.coverage import CoverageMap
+from repro.runtime.probes import line_block_id
 from repro.util import fnv1a32
 
-_MONITORING = getattr(sys, "monitoring", None)
-
-#: the directory that holds the ``repro`` package, with a trailing
-#: separator
-_PACKAGE_PARENT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__)))), "")
+#: the scope the probes cover: collectors for it use them
+PROBED_SCOPE = os.path.join("repro", "protocols")
 
 
-def _block_file(filename: str) -> str:
-    """*filename* as block ids name it: ``repro/protocols/...`` for a
-    file of this package, the filename unchanged for anything else."""
-    path = os.path.abspath(filename)
-    if path.startswith(_PACKAGE_PARENT):
-        return path[len(_PACKAGE_PARENT):].replace(os.sep, "/")
-    return filename
+def _is_probed_scope(module_prefixes: Iterable[str]) -> bool:
+    """True when every prefix lies inside the probed modules."""
+    prefixes = tuple(module_prefixes)
+    return bool(prefixes) and all(
+        os.path.normpath(prefix).startswith(PROBED_SCOPE)
+        for prefix in prefixes)
 
 
-def line_block_id(filename: str, lineno: int) -> int:
-    """The stable id of the basic block at *filename*:*lineno*.
+def resolve_backend(backend: str = "auto",
+                    module_prefixes: Iterable[str] = (PROBED_SCOPE,)
+                    ) -> str:
+    """The collector :func:`make_line_collector` builds for
+    *module_prefixes*: ``"probe"`` when they lie inside the probed
+    modules (the default scope does), ``"settrace"`` otherwise.
 
-    Hashes the package-relative path, so the same campaign run from two
-    checkouts records the same coverage and crash buckets.
+    *backend* must be ``"auto"``.  Older configs could name a backend
+    (``settrace``, ``monitoring``); one read back from disk that still
+    does is rejected here rather than silently run on another collector.
     """
-    return fnv1a32(f"{_block_file(filename)}:{lineno}")
-
-
-def monitoring_available() -> bool:
-    """True when the interpreter offers ``sys.monitoring`` (PEP 669)."""
-    return _MONITORING is not None
-
-
-def _monitoring_usable() -> bool:
-    """True when the coverage tool id is free (or already ours).
-
-    ``coverage.py`` under ``COVERAGE_CORE=sysmon``, debuggers and
-    profilers can hold the id; ``auto`` then quietly picks settrace
-    instead of blowing up on the first execution.
-    """
-    if _MONITORING is None:
-        return False
-    holder = _MONITORING.get_tool(_MONITORING.COVERAGE_ID)
-    return holder is None or holder == "repro-coverage"
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a backend request to ``"monitoring"`` or ``"settrace"``.
-
-    ``"auto"`` consults ``REPRO_COVERAGE_BACKEND`` and then prefers
-    ``sys.monitoring`` when available, falling back to ``sys.settrace``
-    on older interpreters.
-    """
-    choice = backend or "auto"
-    if choice == "auto":
-        choice = os.environ.get("REPRO_COVERAGE_BACKEND", "auto") or "auto"
-    if choice == "auto":
-        return "monitoring" if _monitoring_usable() else "settrace"
-    if choice not in ("monitoring", "settrace"):
+    if (backend or "auto") != "auto":
         raise ValueError(
-            f"unknown coverage backend {choice!r}; "
-            "choices: auto, monitoring, settrace")
-    return choice
+            f"unknown coverage backend {backend!r}; the collector follows "
+            "the instrumented scope (choices: auto)")
+    return "probe" if _is_probed_scope(module_prefixes) else "settrace"
 
 
 class HangBudgetExceeded(Exception):
@@ -234,16 +205,13 @@ class ExplicitCollector(Collector):
 
 
 class _LineCollector(Collector):
-    """Shared state of the two line-granularity backends."""
+    """Shared state of the two statement-granularity backends."""
 
     def __init__(self, module_prefixes: Iterable[str],
                  coverage_map: Optional[CoverageMap] = None,
                  hang_budget: int = 200_000):
         super().__init__(coverage_map, hang_budget)
         self.module_prefixes = tuple(module_prefixes)
-        #: code object -> {lineno -> block id}; code objects are cached by
-        #: identity so the hot path never rebuilds filename:lineno strings
-        self._code_line_ids: Dict[object, Dict[int, int]] = {}
         self._file_match_cache: Dict[str, bool] = {}
         self._visit = self.map.visit
 
@@ -255,19 +223,77 @@ class _LineCollector(Collector):
             self._file_match_cache[filename] = cached
         return cached
 
-    # NOTE: both backends inline the block-id lookup in their per-line
-    # callback instead of sharing a helper — a method call per traced
-    # line is exactly the overhead this layer exists to avoid (only a
-    # cache miss calls line_block_id).  The id scheme is pinned
-    # cross-backend by the backend-equivalence test in
-    # tests/runtime/test_backends.py.
-
     def begin_execution(self) -> None:
         super().begin_execution()
         # rebind in case the map object was swapped between executions
         # (the equivalence tests inject the dense reference this way,
         # and the batched pipeline rotates through its map pool)
         self._visit = self.map.visit
+
+
+class ProbeCollector(_LineCollector):
+    """Block coverage from the probes compiled into the protocol modules.
+
+    :mod:`repro.runtime.probes` compiles a ``_repro_cov(<block id>)``
+    call before every statement of the probed modules' functions, on
+    every loop back-edge and on every comprehension iteration.
+    :meth:`open_window` binds ``_repro_cov`` in each probed module whose
+    file is in scope to a hit function that visits the map, counts
+    blocks and enforces the hang budget, as the settrace callback does;
+    :meth:`close_window` binds it back to
+    :data:`probes.NOOP <repro.runtime.probes.NOOP>`, so in-scope code
+    running between windows records nothing and pays one C call per
+    statement.
+    """
+
+    backend_name = "probe"
+
+    def __init__(self, module_prefixes: Iterable[str],
+                 coverage_map: Optional[CoverageMap] = None,
+                 hang_budget: int = 200_000):
+        super().__init__(module_prefixes, coverage_map, hang_budget)
+        #: globals of the in-scope probed modules, refreshed when more
+        #: modules have been probed since
+        self._namespaces: List[dict] = []
+        self._probed_seen = 0
+        self._window_blocks = None
+
+    def _scope(self) -> List[dict]:
+        probed = probes.probed_modules()
+        if self._probed_seen != len(probed):
+            self._namespaces = [namespace for filename, namespace in probed
+                                if self._file_matches(filename)]
+            self._probed_seen = len(probed)
+        return self._namespaces
+
+    def open_window(self) -> None:
+        # the hit function counts in a closure cell, not on self: a cell
+        # costs half the attribute traffic, and close_window reads the
+        # count back into blocks_executed
+        visit = self._visit
+        budget = self.hang_budget
+        count = self.blocks_executed
+
+        def hit(block_id: int) -> None:
+            nonlocal count
+            visit(block_id)
+            count += 1
+            if count > budget:
+                caller = sys._getframe(1)
+                raise HangBudgetExceeded(
+                    f"{caller.f_code.co_filename}:{caller.f_lineno}")
+
+        def window_blocks() -> int:
+            return count
+
+        self._window_blocks = window_blocks
+        for namespace in self._scope():
+            namespace[probes.PROBE_NAME] = hit
+
+    def close_window(self) -> None:
+        for namespace in self._namespaces:
+            namespace[probes.PROBE_NAME] = probes.NOOP
+        self.blocks_executed = self._window_blocks()
 
 
 class TracingCollector(_LineCollector):
@@ -287,6 +313,9 @@ class TracingCollector(_LineCollector):
                  coverage_map: Optional[CoverageMap] = None,
                  hang_budget: int = 200_000):
         super().__init__(module_prefixes, coverage_map, hang_budget)
+        #: code object -> {lineno -> block id}; code objects are cached by
+        #: identity so the hot path never rebuilds filename:lineno strings
+        self._code_line_ids: Dict[object, Dict[int, int]] = {}
         self._saved_trace = None
 
     def open_window(self) -> None:
@@ -325,142 +354,14 @@ class TracingCollector(_LineCollector):
         return self._local_trace
 
 
-class MonitoringCollector(_LineCollector):
-    """``sys.monitoring`` (PEP 669) line coverage, CPython 3.12+.
-
-    Produces the same block ids as :class:`TracingCollector` (the stable
-    ``filename:lineno`` hash), so coverage maps are interchangeable
-    between backends.  Out-of-scope code locations are DISABLEd at the
-    interpreter level after their first event, so steady-state overhead
-    is paid only inside the target modules.
-
-    The tool id and the LINE callback stay registered across executions
-    — ``begin``/``end`` merely toggle event delivery for the already-
-    registered tool instead of paying the use_tool_id/register_callback/
-    free_tool_id churn on every run.  (Delivery *is* switched off
-    between executions: in-scope code that runs outside a collection
-    window — wire transformers during generation, codecs during
-    cracking — must neither record nor pay callback overhead, and it
-    can never be DISABLEd.)  DISABLE state survives the toggle, which
-    is the cross-execution perf win.  :meth:`release` fully unwinds the
-    registration when another tool needs the id.
-    """
-
-    backend_name = "monitoring"
-
-    #: scope whose DISABLEd locations currently persist in the
-    #: interpreter.  DISABLE state survives callback swaps, which is the
-    #: perf win (out-of-scope code stays silent across executions) — but
-    #: it must be flushed with restart_events() the moment a collector
-    #: with a *different* scope takes over, or that collector would be
-    #: blind to everything its predecessor disabled.
-    _disabled_scope: Optional[Tuple[str, ...]] = None
-
-    #: tool ids claimed by this process, with the LINE callback
-    #: registered; populated lazily on the first begin() per id
-    _armed_tools: set = set()
-    #: the collector whose bound callback is currently registered per
-    #: tool id (re-registration only happens when the collector changes)
-    _callback_owner: Dict[int, "MonitoringCollector"] = {}
-
-    def __init__(self, module_prefixes: Iterable[str],
-                 coverage_map: Optional[CoverageMap] = None,
-                 hang_budget: int = 200_000,
-                 tool_id: Optional[int] = None):
-        if _MONITORING is None:
-            raise RuntimeError(
-                "sys.monitoring is not available on this interpreter "
-                f"({sys.version_info.major}.{sys.version_info.minor}); "
-                "use TracingCollector or make_line_collector()")
-        super().__init__(module_prefixes, coverage_map, hang_budget)
-        self._tool_id = (tool_id if tool_id is not None
-                         else _MONITORING.COVERAGE_ID)
-        self._active = False
-
-    def open_window(self) -> None:
-        mon = _MONITORING
-        cls = MonitoringCollector
-        if self._tool_id not in cls._armed_tools:
-            try:
-                mon.use_tool_id(self._tool_id, "repro-coverage")
-            except ValueError as exc:
-                raise RuntimeError(
-                    f"sys.monitoring tool id {self._tool_id} is held by "
-                    f"{mon.get_tool(self._tool_id)!r}; force the settrace "
-                    "backend (REPRO_COVERAGE_BACKEND=settrace)") from exc
-            cls._armed_tools.add(self._tool_id)
-        if cls._disabled_scope != self.module_prefixes:
-            if cls._disabled_scope is not None:
-                mon.restart_events()
-            cls._disabled_scope = self.module_prefixes
-        if cls._callback_owner.get(self._tool_id) is not self:
-            mon.register_callback(self._tool_id, mon.events.LINE,
-                                  self._on_line)
-            cls._callback_owner[self._tool_id] = self
-        mon.set_events(self._tool_id, mon.events.LINE)
-        self._active = True
-
-    def close_window(self) -> None:
-        if not self._active:
-            return
-        # keep the tool id + callback registered; just stop delivery so
-        # nothing fires (or records) between executions
-        _MONITORING.set_events(self._tool_id, 0)
-        self._active = False
-
-    @classmethod
-    def release(cls) -> None:
-        """Fully unwind: disable events, free every claimed tool id.
-
-        For handing the COVERAGE_ID back to other tooling (coverage.py,
-        debuggers) and for test isolation; normal campaigns never need
-        it.
-        """
-        if _MONITORING is None:
-            return
-        for tool_id in sorted(cls._armed_tools):
-            _MONITORING.set_events(tool_id, 0)
-            _MONITORING.register_callback(tool_id,
-                                          _MONITORING.events.LINE, None)
-            _MONITORING.free_tool_id(tool_id)
-        if cls._armed_tools and cls._disabled_scope is not None:
-            _MONITORING.restart_events()
-        cls._armed_tools.clear()
-        cls._callback_owner.clear()
-        cls._disabled_scope = None
-
-    def _on_line(self, code, lineno: int):
-        if not self._file_matches(code.co_filename):
-            return _MONITORING.DISABLE
-        line_ids = self._code_line_ids.get(code)
-        if line_ids is None:
-            self._code_line_ids[code] = line_ids = {}
-        block_id = line_ids.get(lineno)
-        if block_id is None:
-            block_id = line_block_id(code.co_filename, lineno)
-            line_ids[lineno] = block_id
-        self._visit(block_id)
-        self.blocks_executed += 1
-        if self.blocks_executed > self.hang_budget:
-            raise HangBudgetExceeded(f"{code.co_filename}:{lineno}")
-        return None
-
-
 def make_line_collector(module_prefixes: Iterable[str], *,
                         coverage_map: Optional[CoverageMap] = None,
-                        hang_budget: int = 200_000,
-                        backend: str = "auto") -> _LineCollector:
-    """Build the fastest line-granularity collector for this interpreter.
-
-    ``backend="auto"`` (or ``REPRO_COVERAGE_BACKEND``) selects
-    ``sys.monitoring`` on CPython 3.12+ and falls back to ``sys.settrace``
-    on older interpreters; an explicit ``"monitoring"`` request on an
-    interpreter without PEP 669 raises so misconfiguration is loud.
-    """
-    choice = resolve_backend(backend)
-    if choice == "monitoring":
-        return MonitoringCollector(module_prefixes,
-                                   coverage_map=coverage_map,
-                                   hang_budget=hang_budget)
-    return TracingCollector(module_prefixes, coverage_map=coverage_map,
-                            hang_budget=hang_budget)
+                        hang_budget: int = 200_000) -> _LineCollector:
+    """Build the line collector :func:`resolve_backend` picks: a
+    :class:`ProbeCollector` for a scope inside the probed
+    ``repro/protocols`` modules, a :class:`TracingCollector` for any
+    other."""
+    kind = (ProbeCollector if resolve_backend("auto", module_prefixes)
+            == "probe" else TracingCollector)
+    return kind(module_prefixes, coverage_map=coverage_map,
+                hang_budget=hang_budget)

@@ -43,11 +43,9 @@ class TraceChecker:
     engine's accounting.
     """
 
-    def __init__(self, target_spec, hang_budget: int = 120_000,
-                 backend: str = "auto"):
+    def __init__(self, target_spec, hang_budget: int = 120_000):
         collector = make_line_collector((PROTOCOLS_PATH_PREFIX,),
-                                        hang_budget=hang_budget,
-                                        backend=backend)
+                                        hang_budget=hang_budget)
         self.target = Target(target_spec.make_server, collector)
         self.pit = target_spec.make_pit()
         self.executions = 0

@@ -47,8 +47,10 @@ from repro.sanitizer.report import CrashReport
 from repro.util import fs_slug
 
 #: bump when the on-disk layout changes incompatibly (2: pending queue
-#: as splice plans; coverage block ids hash package-relative paths)
-STATE_FORMAT = 2
+#: as splice plans; coverage block ids hash package-relative paths;
+#: 3: edges come from block probes, so a virgin map of format 2 means
+#: something else)
+STATE_FORMAT = 3
 
 
 class WorkspaceError(RuntimeError):

@@ -41,15 +41,13 @@ class CrashChecker:
     Each check runs against a fresh heap (and a reset server) with a
     hang-budget collector attached, so a shrink candidate that loops
     forever is classified as "does not reproduce" instead of wedging
-    the triage run.  *backend*/*hang_budget* mirror the campaign knobs
-    (``CampaignConfig.coverage_backend`` / ``hang_budget``).
+    the triage run.  *hang_budget* mirrors the campaign knob
+    (``CampaignConfig.hang_budget``).
     """
 
-    def __init__(self, target_spec, hang_budget: int = 120_000,
-                 backend: str = "auto"):
+    def __init__(self, target_spec, hang_budget: int = 120_000):
         collector = make_line_collector((PROTOCOLS_PATH_PREFIX,),
-                                        hang_budget=hang_budget,
-                                        backend=backend)
+                                        hang_budget=hang_budget)
         self.target = Target(target_spec.make_server, collector)
         self.executions = 0
         self._cache: Dict[bytes, Optional[tuple]] = {}

@@ -88,7 +88,6 @@ class _MinimizeTask:
     target_name: str
     report: CrashReport
     max_executions: int
-    coverage_backend: str
     hang_budget: int
 
 
@@ -101,10 +100,8 @@ class _CheckerPair:
     once instead of per crash.
     """
 
-    def __init__(self, target_spec, coverage_backend: str,
-                 hang_budget: int):
+    def __init__(self, target_spec, hang_budget: int):
         self._spec = target_spec
-        self._backend = coverage_backend
         self._hang_budget = hang_budget
         self._crash: Optional[CrashChecker] = None
         self._trace = None
@@ -113,16 +110,14 @@ class _CheckerPair:
     def crash_checker(self) -> CrashChecker:
         if self._crash is None:
             self._crash = CrashChecker(self._spec,
-                                       hang_budget=self._hang_budget,
-                                       backend=self._backend)
+                                       hang_budget=self._hang_budget)
         return self._crash
 
     def trace_checker(self):
         if self._trace is None:
             from repro.state.triage import TraceChecker
             self._trace = TraceChecker(self._spec,
-                                       hang_budget=self._hang_budget,
-                                       backend=self._backend)
+                                       hang_budget=self._hang_budget)
         return self._trace
 
     def divergence_checker(self):
@@ -158,13 +153,12 @@ def _minimize_worker(task: _MinimizeTask) -> MinimizationResult:
     from repro.protocols import get_target
     spec = get_target(task.target_name)
     return _minimize_one(spec, task.report, task.max_executions,
-                         _CheckerPair(spec, task.coverage_backend,
-                                      task.hang_budget))
+                         _CheckerPair(spec, task.hang_budget))
 
 
 def _run_minimizations(target_spec, buckets: List[CrashBucket],
-                       max_executions: int, coverage_backend: str,
-                       hang_budget: int, jobs: Optional[int]
+                       max_executions: int, hang_budget: int,
+                       jobs: Optional[int]
                        ) -> List[MinimizationResult]:
     """One minimization per bucket, serial or fanned over a pool.
 
@@ -177,11 +171,11 @@ def _run_minimizations(target_spec, buckets: List[CrashBucket],
     from repro.core.campaign import default_worker_count
 
     tasks = [_MinimizeTask(target_spec.name, bucket.representative,
-                           max_executions, coverage_backend, hang_budget)
+                           max_executions, hang_budget)
              for bucket in buckets]
 
     def serial() -> List[MinimizationResult]:
-        checkers = _CheckerPair(target_spec, coverage_backend, hang_budget)
+        checkers = _CheckerPair(target_spec, hang_budget)
         return [_minimize_one(target_spec, task.report,
                               task.max_executions, checkers)
                 for task in tasks]
@@ -203,7 +197,6 @@ def triage_reports(target_spec, reports: Iterable[CrashReport], *,
                    minimize: bool = True,
                    max_executions_per_crash: int = 3000,
                    out_dir: Optional[str] = None,
-                   coverage_backend: str = "auto",
                    hang_budget: int = 120_000,
                    jobs: Optional[int] = None,
                    net_url: Optional[str] = None) -> TriageReport:
@@ -214,9 +207,9 @@ def triage_reports(target_spec, reports: Iterable[CrashReport], *,
     processes; ``None`` = ``REPRO_JOBS``/cores-1, ``1`` = in-process),
     and (when *out_dir* is given) exports a standalone reproducer script
     plus raw packet — or encoded trace, for session crashes — per
-    bucket.  *coverage_backend*/*hang_budget* mirror the campaign the
-    crashes came from.  *net_url* makes server-crash reproducers
-    replay over a socket against a served ``tcp://`` endpoint.
+    bucket.  *hang_budget* mirrors the campaign the crashes came from.
+    *net_url* makes server-crash reproducers replay over a socket
+    against a served ``tcp://`` endpoint.
     """
     buckets = bucket_crashes(reports)
     minimizations: List[Optional[MinimizationResult]] = [None] * len(buckets)
@@ -224,7 +217,7 @@ def triage_reports(target_spec, reports: Iterable[CrashReport], *,
     if minimize and buckets:
         results = _run_minimizations(
             target_spec, buckets, max_executions_per_crash,
-            coverage_backend, hang_budget, jobs)
+            hang_budget, jobs)
         minimizations = list(results)
         executions_spent = sum(result.executions for result in results)
     triaged: List[TriagedCrash] = []

@@ -1,199 +1,68 @@
-"""Coverage-backend selection: sys.monitoring vs sys.settrace.
+"""Coverage-collector selection: block probes vs the settrace reference.
 
-The monitoring backend needs CPython 3.12+ (PEP 669); on older
-interpreters `make_line_collector` must fall back to settrace
-automatically, and an *explicit* monitoring request must fail loudly.
-The behavioural tests run on both backends where available and require
-identical coverage maps.
+The collector follows the instrumented scope: the probes compiled into
+``repro/protocols`` for that scope, the settrace tracer for any other.
+There is no backend option; a config read from disk that still names
+one (``settrace``, or the removed ``monitoring``) is rejected loudly.
+Probe behaviour itself is in ``test_probes.py``.
 """
-
-import sys
 
 import pytest
 
-from repro.core import CampaignConfig, run_campaign
+from repro.core import CampaignConfig, config_from_dict, config_to_dict
+from repro.core import make_engine
 from repro.protocols import get_target
-from repro.protocols.modbus import ModbusServer, build_read_request
 from repro.runtime.instrument import (
-    MonitoringCollector, TracingCollector, _monitoring_usable,
-    make_line_collector, monitoring_available, resolve_backend,
+    ProbeCollector, TracingCollector, make_line_collector, resolve_backend,
 )
-from repro.sanitizer import SimHeap
 
-HAS_MONITORING = monitoring_available()
-#: auto also requires the coverage tool id to be free (e.g. not taken by
-#: coverage.py running under COVERAGE_CORE=sysmon)
-AUTO_MONITORING = _monitoring_usable()
 PREFIXES = ("repro/protocols",)
 
 
 class TestResolveBackend:
-    def test_auto_prefers_monitoring_when_available(self):
-        expected = "monitoring" if AUTO_MONITORING else "settrace"
-        assert resolve_backend("auto") == expected
+    def test_probes_for_the_protocols_scope(self):
+        assert resolve_backend("auto") == "probe"
+        assert resolve_backend("auto", PREFIXES) == "probe"
+        assert resolve_backend("auto", ("repro/protocols/modbus",)) == \
+            "probe"
 
-    def test_explicit_choice_passes_through(self):
-        assert resolve_backend("settrace") == "settrace"
-        assert resolve_backend("monitoring") == "monitoring"
+    def test_settrace_for_other_scopes(self):
+        assert resolve_backend("auto", ("examples",)) == "settrace"
+        assert resolve_backend("auto", ("repro/protocols", "examples")) \
+            == "settrace"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "settrace")
-        assert resolve_backend("auto") == "settrace"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "settrace")
-        assert resolve_backend("monitoring") == "monitoring"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("ptrace")
+    @pytest.mark.parametrize("backend", ["settrace", "monitoring", "ptrace"])
+    def test_named_backends_are_rejected(self, backend):
+        with pytest.raises(ValueError, match=rf"'{backend}'.*choices: auto"):
+            resolve_backend(backend)
 
 
 class TestFactory:
-    def test_auto_builds_best_available(self):
+    def test_probes_for_the_protocols_scope(self):
         collector = make_line_collector(PREFIXES)
-        if AUTO_MONITORING:
-            assert isinstance(collector, MonitoringCollector)
-            assert collector.backend_name == "monitoring"
-        else:
-            assert isinstance(collector, TracingCollector)
-            assert collector.backend_name == "settrace"
+        assert isinstance(collector, ProbeCollector)
+        assert collector.backend_name == "probe"
 
-    def test_settrace_always_constructible(self):
-        collector = make_line_collector(PREFIXES, backend="settrace")
+    def test_settrace_for_other_scopes(self):
+        collector = make_line_collector(("examples",))
         assert isinstance(collector, TracingCollector)
+        assert collector.backend_name == "settrace"
 
-    @pytest.mark.skipif(HAS_MONITORING,
-                        reason="needs an interpreter without PEP 669")
-    def test_monitoring_request_fails_loudly_without_pep669(self):
-        with pytest.raises(RuntimeError):
-            make_line_collector(PREFIXES, backend="monitoring")
-
-    def test_monitoring_version_gate_matches_interpreter(self):
-        assert HAS_MONITORING == (sys.version_info >= (3, 12))
+    def test_campaigns_run_on_the_probes(self):
+        engine = make_engine("peach-star", get_target("libmodbus"), seed=1)
+        assert isinstance(engine.target.collector, ProbeCollector)
 
 
-def _run_modbus(collector, packet):
-    server = ModbusServer()
-    with collector:
-        server.handle_packet(SimHeap(), packet)
+class TestConfigFromDisk:
+    def test_config_names_no_backend(self):
+        assert "coverage_backend" not in config_to_dict(CampaignConfig())
 
+    def test_auto_still_loads(self):
+        blob = dict(config_to_dict(CampaignConfig()), coverage_backend="auto")
+        assert config_from_dict(blob) == CampaignConfig()
 
-@pytest.mark.skipif(not HAS_MONITORING,
-                    reason="sys.monitoring needs CPython 3.12+")
-class TestMonitoringPersistentRegistration:
-    """The tool id and LINE callback survive across executions.
-
-    ``begin``/``end`` only toggle event delivery for the already-
-    registered tool; maps must stay behaviourally identical to per-run
-    re-registration (and to the settrace backend).
-    """
-
-    def teardown_method(self):
-        MonitoringCollector.release()
-
-    def test_tool_id_stays_claimed_between_executions(self):
-        mon = sys.monitoring
-        collector = make_line_collector(PREFIXES, backend="monitoring")
-        _run_modbus(collector, build_read_request(3, 0, 2))
-        # the execution is over, yet the tool id is still ours ...
-        assert mon.get_tool(mon.COVERAGE_ID) == "repro-coverage"
-        # ... and a second execution re-uses it without re-claiming
-        _run_modbus(collector, build_read_request(3, 0, 2))
-        assert mon.get_tool(mon.COVERAGE_ID) == "repro-coverage"
-
-    def test_repeated_executions_produce_identical_maps(self):
-        packet = build_read_request(3, 0, 4)
-        collector = make_line_collector(PREFIXES, backend="monitoring")
-        _run_modbus(collector, packet)
-        first = list(collector.map.iter_hits())
-        _run_modbus(collector, packet)
-        second = list(collector.map.iter_hits())
-        assert first == second
-        reference = make_line_collector(PREFIXES, backend="settrace")
-        _run_modbus(reference, packet)
-        assert second == list(reference.map.iter_hits())
-
-    def test_no_recording_between_executions(self):
-        packet = build_read_request(3, 0, 2)
-        collector = make_line_collector(PREFIXES, backend="monitoring")
-        _run_modbus(collector, packet)
-        baseline = list(collector.map.iter_hits())
-        # in-scope code running OUTSIDE a collection window (tool still
-        # claimed, callback still registered) must not record
-        build_read_request(3, 0, 2)
-        _run_modbus(collector, packet)
-        assert list(collector.map.iter_hits()) == baseline
-
-    def test_release_frees_the_tool_id(self):
-        mon = sys.monitoring
-        collector = make_line_collector(PREFIXES, backend="monitoring")
-        _run_modbus(collector, build_read_request(3, 0, 2))
-        assert mon.get_tool(mon.COVERAGE_ID) == "repro-coverage"
-        MonitoringCollector.release()
-        assert mon.get_tool(mon.COVERAGE_ID) is None
-        # and the backend is immediately reusable after a release
-        again = make_line_collector(PREFIXES, backend="monitoring")
-        _run_modbus(again, build_read_request(3, 0, 2))
-        assert again.map.edge_count() > 10
-
-
-@pytest.mark.skipif(not HAS_MONITORING,
-                    reason="sys.monitoring needs CPython 3.12+")
-class TestBackendCampaignParity:
-    """Whole-campaign parity: the same campaign driven once under
-    ``REPRO_COVERAGE_BACKEND=settrace`` and once under ``=monitoring``
-    must pin identical path-hash sets (and identical everything else —
-    the backends may only differ in wall-clock cost)."""
-
-    def teardown_method(self):
-        MonitoringCollector.release()
-
-    def _campaign(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
-        config = CampaignConfig(budget_hours=24.0, max_executions=150,
-                                record_every=10)
-        return run_campaign("peach-star", get_target("libmodbus"),
-                            seed=17, config=config)
-
-    def test_identical_path_hash_sets(self, monkeypatch):
-        settrace = self._campaign(monkeypatch, "settrace")
-        MonitoringCollector.release()
-        monitoring = self._campaign(monkeypatch, "monitoring")
-        assert set(settrace.path_hashes) == set(monitoring.path_hashes)
-        assert settrace.path_hashes == monitoring.path_hashes
-        assert settrace.series == monitoring.series
-        assert settrace.final_paths == monitoring.final_paths
-        assert settrace.final_edges == monitoring.final_edges
-        assert settrace.stats == monitoring.stats
-        assert sorted(r.dedup_key for r in settrace.unique_crashes) == \
-            sorted(r.dedup_key for r in monitoring.unique_crashes)
-
-
-@pytest.mark.skipif(not HAS_MONITORING,
-                    reason="sys.monitoring needs CPython 3.12+")
-class TestMonitoringCollector:
-    def teardown_method(self):
-        MonitoringCollector.release()
-
-    def test_traces_target_module_lines(self):
-        collector = make_line_collector(PREFIXES, backend="monitoring")
-        _run_modbus(collector, build_read_request(3, 0, 2))
-        assert collector.map.edge_count() > 10
-        assert collector.blocks_executed > 10
-
-    def test_backends_produce_identical_maps(self):
-        packet = build_read_request(3, 0, 5)
-        monitoring = make_line_collector(PREFIXES, backend="monitoring")
-        _run_modbus(monitoring, packet)
-        settrace = make_line_collector(PREFIXES, backend="settrace")
-        _run_modbus(settrace, packet)
-        assert list(monitoring.map.iter_hits()) == \
-            list(settrace.map.iter_hits())
-        assert monitoring.map.path_hash() == settrace.map.path_hash()
-
-    def test_out_of_scope_modules_ignored(self):
-        collector = make_line_collector(("no/such/prefix",),
-                                        backend="monitoring")
-        _run_modbus(collector, build_read_request(3, 0, 2))
-        assert collector.map.edge_count() == 0
+    @pytest.mark.parametrize("backend", ["settrace", "monitoring"])
+    def test_named_backend_is_rejected(self, backend):
+        blob = dict(config_to_dict(CampaignConfig()), coverage_backend=backend)
+        with pytest.raises(ValueError, match=rf"'{backend}'.*choices: auto"):
+            config_from_dict(blob)

@@ -10,7 +10,8 @@ import pytest
 
 import repro
 from repro.runtime.instrument import (
-    ExplicitCollector, HangBudgetExceeded, TracingCollector, line_block_id,
+    ExplicitCollector, HangBudgetExceeded, ProbeCollector, TracingCollector,
+    line_block_id,
 )
 from repro.protocols.modbus import ModbusServer, build_read_request
 from repro.sanitizer import SimHeap
@@ -68,55 +69,64 @@ class TestExplicitCollector:
         assert collector.map.edge_count() == 1
 
 
-class TestTracingCollector:
+@pytest.mark.parametrize("collector_cls", [TracingCollector, ProbeCollector])
+class TestLineCollectors:
+    """Behaviour both backends share; block counts differ between them
+    (settrace also counts continuation lines), so each test compares a
+    backend with itself."""
+
     def _run_modbus(self, collector, packet):
         server = ModbusServer()
         with collector:
             server.handle_packet(SimHeap(), packet)
 
-    def test_traces_target_module_lines(self):
-        collector = TracingCollector(module_prefixes=("repro/protocols",))
+    def test_traces_target_module_lines(self, collector_cls):
+        collector = collector_cls(module_prefixes=("repro/protocols",))
         self._run_modbus(collector, build_read_request(3, 0, 2))
         assert collector.map.edge_count() > 10
         assert collector.blocks_executed > 10
 
-    def test_ignores_out_of_scope_modules(self):
-        collector = TracingCollector(module_prefixes=("no/such/prefix",))
+    def test_ignores_out_of_scope_modules(self, collector_cls):
+        collector = collector_cls(module_prefixes=("no/such/prefix",))
         self._run_modbus(collector, build_read_request(3, 0, 2))
         assert collector.map.edge_count() == 0
 
-    def test_different_function_codes_differ_in_coverage(self):
-        first = TracingCollector(module_prefixes=("repro/protocols",))
+    def test_different_function_codes_differ_in_coverage(self,
+                                                         collector_cls):
+        first = collector_cls(module_prefixes=("repro/protocols",))
         self._run_modbus(first, build_read_request(0x01, 0, 2))
-        second = TracingCollector(module_prefixes=("repro/protocols",))
+        second = collector_cls(module_prefixes=("repro/protocols",))
         self._run_modbus(second, build_read_request(0x03, 0, 2))
         assert first.map.path_hash() != second.map.path_hash()
 
-    def test_same_packet_same_coverage(self):
+    def test_same_packet_same_coverage(self, collector_cls):
         packet = build_read_request(3, 0, 5)
         hashes = []
         for _ in range(2):
-            collector = TracingCollector(
+            collector = collector_cls(
                 module_prefixes=("repro/protocols",))
             self._run_modbus(collector, packet)
             hashes.append(collector.map.path_hash())
         assert hashes[0] == hashes[1]
 
-    def test_loop_iterations_bump_counts(self):
+    def test_loop_iterations_bump_counts(self, collector_cls):
         """A larger read quantity executes the register loop more times —
         the hit-count bucketing must be able to tell the difference."""
-        small = TracingCollector(module_prefixes=("repro/protocols",))
+        small = collector_cls(module_prefixes=("repro/protocols",))
         self._run_modbus(small, build_read_request(3, 0, 1))
-        large = TracingCollector(module_prefixes=("repro/protocols",))
+        large = collector_cls(module_prefixes=("repro/protocols",))
         self._run_modbus(large, build_read_request(3, 0, 40))
         assert large.blocks_executed > small.blocks_executed
         assert small.map.path_hash() != large.map.path_hash()
 
+
+class TestTracingCollector:
     def test_trace_hook_restored_after_execution(self):
-        import sys
         before = sys.gettrace()
         collector = TracingCollector(module_prefixes=("repro/protocols",))
-        self._run_modbus(collector, build_read_request(3, 0, 1))
+        with collector:
+            ModbusServer().handle_packet(SimHeap(),
+                                         build_read_request(3, 0, 1))
         assert sys.gettrace() is before
 
 

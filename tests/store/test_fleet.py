@@ -85,18 +85,19 @@ class TestFleetLayout:
         with pytest.raises(WorkspaceError):
             resume_fleet(str(tmp_path / "nope"))
 
-    def test_format_1_fleet_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_older_format_fleet_is_rejected(self, tmp_path, old_format):
         ws_dir = str(tmp_path / "fleet")
         _run(ws_dir, config=_config(max_executions=60))
         path = os.path.join(ws_dir, "fleet.json")
         with open(path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-        manifest["format"] = 1
+        manifest["format"] = old_format
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
         with pytest.raises(WorkspaceError,
-                           match=r"fleet format 1 is not supported "
-                                 r"\(expected 2\)"):
+                           match=rf"fleet format {old_format} is not "
+                                 r"supported \(expected 3\)"):
             resume_fleet(ws_dir)
 
     def test_shards_are_independently_seeded(self, tmp_path):

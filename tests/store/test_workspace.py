@@ -178,19 +178,22 @@ class TestPendingQueueCheckpoint:
         assert build_calls == []
         assert len(engine._pending) == len(pending)
 
+    @pytest.mark.parametrize("old_format", [1, 2])
     @pytest.mark.parametrize("files", [("config.json", "state.json"),
                                        ("state.json",)])
-    def test_format_1_workspace_is_rejected(self, tmp_path, files):
+    def test_older_format_workspace_is_rejected(self, tmp_path, files,
+                                                old_format):
         ws_dir = self._killed(tmp_path)
         for name in files:
             path = os.path.join(ws_dir, name)
             with open(path, encoding="utf-8") as handle:
                 blob = json.load(handle)
-            blob["format"] = 1
+            blob["format"] = old_format
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(blob, handle)
         with pytest.raises(WorkspaceError,
-                           match=r"format 1 is not supported \(expected 2\)"):
+                           match=rf"format {old_format} is not supported "
+                                 r"\(expected 3\)"):
             resume_campaign(ws_dir)
 
     @pytest.mark.parametrize("edit, message", [
